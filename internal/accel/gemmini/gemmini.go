@@ -277,57 +277,59 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "null matrix address A=%#x B=%#x C=%#x", a, b, c)
 	}
 
-	rows := int(i) * Dim
-	cols := int(j) * Dim
-	depth := int(k) * Dim
+	rows := i * Dim
+	cols := j * Dim
+	depth := k * Dim
 
-	// Row-buffered fast path: one hoisted bounds check per matrix row
-	// (mem.Region) instead of one checked access per MAC operand, and the
-	// inner loop runs over raw byte slices. The accumulation order per
-	// output element — bias first, then x ascending — matches the
-	// element-at-a-time loop exactly, so results are bit-identical; the
-	// traffic counters are applied in bulk below with the per-access
-	// totals of the naive loop, so the memory metrics are identical too.
-	accRow := make([]int32, cols)
-	for r := 0; r < rows; r++ {
-		if d != 0 {
-			drow := mm.Region(d+uint64(r)*strideD, uint64(cols)*4)
-			for cc := range accRow {
-				accRow[cc] = int32(binary.LittleEndian.Uint32(drow[4*cc:]))
-			}
-		} else {
-			for cc := range accRow {
-				accRow[cc] = 0
-			}
+	g, err := accel.MapGEMM(mm, Name,
+		accel.Panel{Addr: a, Stride: strideA, Rows: rows, Width: depth},
+		accel.Panel{Addr: b, Stride: strideB, Rows: depth, Width: cols})
+	if err != nil {
+		return accel.Launch{}, err
+	}
+	cv, err := accel.Panel{Addr: c, Stride: strideC, Rows: rows, Width: cols}.Map(mm, Name, "C")
+	if err != nil {
+		return accel.Launch{}, err
+	}
+	// The prologue seeds each micro-tile with its int32 D bias (when D is
+	// configured); the epilogue applies the activation and saturates to
+	// int8. Per output element the order is bias first, then x ascending,
+	// as in the element-at-a-time loop.
+	var seed func(r0, c0 int, t *accel.Tile)
+	if d != 0 {
+		dv, err := accel.Panel{Addr: d, Stride: strideD, Rows: rows, Width: 4 * cols}.Map(mm, Name, "D")
+		if err != nil {
+			return accel.Launch{}, err
 		}
-		arow := mm.Region(a+uint64(r)*strideA, uint64(depth))
-		for x := 0; x < depth; x++ {
-			brow := mm.Region(b+uint64(x)*strideB, uint64(cols))
-			av := int32(int8(arow[x]))
-			if av == 0 {
-				continue // contributes exactly 0 to every accumulator
+		seed = func(r0, c0 int, t *accel.Tile) {
+			for r := range t {
+				drow := dv.Row(r0+r, 4*int(cols))[4*c0:]
+				for cc := range t[r] {
+					t[r][cc] = int32(binary.LittleEndian.Uint32(drow[4*cc:]))
+				}
 			}
-			for cc, bv := range brow {
-				accRow[cc] += av * int32(int8(bv))
-			}
-		}
-		crow := mm.Region(c+uint64(r)*strideC, uint64(cols))
-		for cc, acc := range accRow {
-			crow[cc] = saturate(applyAct(acc, act))
 		}
 	}
+	g.Run(seed, func(r0, c0 int, t *accel.Tile) {
+		for r := range t {
+			crow := cv.Row(r0+r, int(cols))[c0:]
+			for cc, acc := range t[r] {
+				crow[cc] = saturate(applyAct(acc, act))
+			}
+		}
+	})
 	// Modeled traffic of the per-element loop: one A and one B byte per
 	// MAC, a 4-byte bias read per output when D is configured, one C byte
 	// per output.
-	elems := uint64(rows) * uint64(cols)
-	macs := elems * uint64(depth)
+	elems := rows * cols
+	macs := elems * depth
 	read := 2 * macs
 	if d != 0 {
 		read += 4 * elems
 	}
 	mm.AddTraffic(read, elems)
 
-	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
+	ops := 2 * macs
 	cycles := m.cost.StartupCycles + i*j*k*Dim + i*j*m.cost.DrainCycles
 	m.Launches++
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil

@@ -1,6 +1,9 @@
 package gemmini_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,8 +187,8 @@ func TestLaunchComputesMatmul(t *testing.T) {
 }
 
 // TestLaunchTrafficCounters pins the memory-traffic accounting of the
-// row-buffered fast path to the per-access totals of the element-at-a-time
-// model it replaced: one A byte and one B byte per MAC, a 4-byte bias read
+// panel kernel to the per-access totals of the element-at-a-time
+// model: one A byte and one B byte per MAC, a 4-byte bias read
 // per output element when D is configured, one C byte per output element.
 func TestLaunchTrafficCounters(t *testing.T) {
 	const n = 32
@@ -295,5 +298,160 @@ func TestCostModelScaling(t *testing.T) {
 	small, large := run(1), run(4)
 	if large <= small {
 		t.Errorf("cycles must grow with tile count: %d vs %d", small, large)
+	}
+}
+
+// referenceLaunch is the element-at-a-time Gemmini datapath the shared
+// panel kernel must reproduce: per output element, the int32 D bias (when
+// D is configured), then one checked A and one checked B byte read per
+// MAC with x ascending, then the activation and int8 saturation into one
+// checked C byte write. It returns the launch the model should report.
+func referenceLaunch(mm *mem.Memory, f map[string]uint64) accel.Launch {
+	rows, cols, depth := f["I"]*gemmini.Dim, f["J"]*gemmini.Dim, f["K"]*gemmini.Dim
+	for r := uint64(0); r < rows; r++ {
+		for c := uint64(0); c < cols; c++ {
+			var acc int32
+			if f["D"] != 0 {
+				acc = int32(mm.Read32(f["D"] + r*f["stride_D"] + 4*c))
+			}
+			for x := uint64(0); x < depth; x++ {
+				av := int32(int8(mm.Read8(f["A"] + r*f["stride_A"] + x)))
+				bv := int32(int8(mm.Read8(f["B"] + x*f["stride_B"] + c)))
+				acc += av * bv
+			}
+			if f["act"] == 1 && acc < 0 {
+				acc = 0
+			}
+			mm.Write8(f["C"]+r*f["stride_C"]+c, uint8(workload.SaturateInt8(acc)))
+		}
+	}
+	cost := gemmini.DefaultCost()
+	tiles := f["I"] * f["J"]
+	return accel.Launch{
+		Ops:    2 * rows * cols * depth,
+		Cycles: cost.StartupCycles + tiles*f["K"]*gemmini.Dim + tiles*cost.DrainCycles,
+	}
+}
+
+// TestLaunchMatchesReference runs seeded random launches through the model
+// and through referenceLaunch on identical memories, and requires
+// identical memory contents, traffic counters and launch costs. The
+// configurations cover several tiles in both output dimensions, strides
+// wider than their panels, a reduction deeper than one packed chunk, the
+// D bias with and without ReLU, and zero-heavy A.
+func TestLaunchMatchesReference(t *testing.T) {
+	type shape struct {
+		i, j, k    uint64
+		bias, relu bool
+		zeroA      bool
+		// small draws operands from [-3, 3] and biases from [-200, 200],
+		// so most outputs land inside the int8 range instead of
+		// saturating and a wrong sum shows in C.
+		small bool
+	}
+	cases := []shape{
+		{i: 2, j: 3, k: 2},
+		{i: 3, j: 2, k: 1, bias: true, relu: true, small: true},
+		{i: 1, j: 2, k: 130, bias: true, small: true},
+		{i: 2, j: 2, k: 3, zeroA: true, relu: true, small: true},
+	}
+	rng := rand.New(rand.NewPCG(12, 0))
+	for range 12 {
+		cases = append(cases, shape{
+			i: 1 + rng.Uint64N(4), j: 1 + rng.Uint64N(4), k: 1 + rng.Uint64N(6),
+			bias: rng.IntN(2) == 0, relu: rng.IntN(2) == 0, zeroA: rng.IntN(4) == 0,
+			small: rng.IntN(4) != 0,
+		})
+	}
+	for n, sc := range cases {
+		rows, cols, depth := sc.i*gemmini.Dim, sc.j*gemmini.Dim, sc.k*gemmini.Dim
+		// Strides are the panel width or up to 40 bytes wider.
+		widen := func(w uint64) uint64 { return w + uint64(rng.IntN(2))*rng.Uint64N(41) }
+		f := map[string]uint64{
+			"I": sc.i, "J": sc.j, "K": sc.k,
+			"stride_A": widen(depth), "stride_B": widen(cols), "stride_C": widen(cols), "stride_D": widen(4 * cols),
+		}
+		if sc.relu {
+			f["act"] = 1
+		}
+		next := uint64(0x100)
+		place := func(field string, rows, width uint64) {
+			f[field] = next
+			next += (rows-1)*f["stride_"+field] + width + uint64(rng.IntN(64))
+		}
+		place("A", rows, depth)
+		place("B", depth, cols)
+		place("C", rows, cols)
+		if sc.bias {
+			place("D", rows, 4*cols)
+		} else {
+			f["D"] = 0
+		}
+		img := make([]byte, next)
+		for p := range img {
+			img[p] = byte(rng.Uint32())
+			if sc.small {
+				img[p] = byte(rng.IntN(7) - 3)
+			}
+		}
+		if sc.bias && sc.small {
+			for r := range rows {
+				for c := range cols {
+					binary.LittleEndian.PutUint32(img[f["D"]+r*f["stride_D"]+4*c:], uint32(rng.IntN(401)-200))
+				}
+			}
+		}
+		if sc.zeroA {
+			for p := f["A"]; p < f["B"]; p++ {
+				if rng.IntN(8) != 0 {
+					img[p] = 0
+				}
+			}
+		}
+		model, ref := mem.New(int(next)), mem.New(int(next))
+		copy(model.Region(0, next), img)
+		copy(ref.Region(0, next), img)
+
+		dev := gemmini.New(gemmini.DefaultCost())
+		writeFields(dev, f)
+		got, err := dev.Launch(model)
+		if err != nil {
+			t.Fatalf("case %d %+v: %v", n, sc, err)
+		}
+		want := referenceLaunch(ref, f)
+		if got != want {
+			t.Errorf("case %d %+v: launch %+v, reference %+v", n, sc, got, want)
+		}
+		if model.BytesRead != ref.BytesRead || model.BytesWritten != ref.BytesWritten {
+			t.Errorf("case %d %+v: traffic read/written %d/%d, reference %d/%d",
+				n, sc, model.BytesRead, model.BytesWritten, ref.BytesRead, ref.BytesWritten)
+		}
+		if !bytes.Equal(model.Snapshot(0, next), ref.Snapshot(0, next)) {
+			t.Errorf("case %d %+v: memory differs from the reference", n, sc)
+		}
+	}
+}
+
+// TestLaunchRejectsWrappingPanel: a 64-bit A stride that wraps a later row
+// back to an in-bounds address is a configuration error, not a silent
+// read; so is a panel that runs past the end of memory.
+func TestLaunchRejectsWrappingPanel(t *testing.T) {
+	mm := mem.New(1 << 16)
+	for name, f := range map[string]map[string]uint64{
+		"stride wraps":  {"A": 0x1000, "stride_A": ^uint64(15)},
+		"leaves memory": {"A": 1<<16 - 0x80, "stride_A": 16},
+	} {
+		base := map[string]uint64{
+			"B": 0x2000, "C": 0x3000, "I": 1, "J": 1, "K": 1,
+			"stride_B": 16, "stride_C": 16,
+		}
+		for k, v := range f {
+			base[k] = v
+		}
+		dev := gemmini.New(gemmini.DefaultCost())
+		writeFields(dev, base)
+		if _, err := dev.Launch(mm); err == nil || !strings.Contains(err.Error(), "bad configuration") {
+			t.Errorf("%s: err = %v, want a bad-configuration error", name, err)
+		}
 	}
 }

@@ -130,40 +130,37 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	subA := int32(int8(m.staging[CsrSubtractions]))
 	subB := int32(int8(m.staging[CsrSubtractions] >> 8))
 
-	rows := int(mTiles) * MeshRow
-	cols := int(nTiles) * MeshCol
-	depth := int(kTiles) * TileK
+	rows := mTiles * MeshRow
+	cols := nTiles * MeshCol
+	depth := kTiles * TileK
 
-	// Row-buffered fast path (see the Gemmini model for the full
-	// rationale): hoisted per-row bounds checks via mem.Region, raw-slice
-	// inner loops, identical per-element accumulation order (x ascending),
-	// and bulk traffic accounting matching the per-access totals of the
-	// element-at-a-time loop bit for bit.
-	accRow := make([]int32, cols)
-	for r := 0; r < rows; r++ {
-		for cc := range accRow {
-			accRow[cc] = 0
-		}
-		arow := mm.Region(a+uint64(r)*strideA, uint64(depth))
-		for x := 0; x < depth; x++ {
-			brow := mm.Region(b+uint64(x)*strideB, uint64(cols))
-			av := int32(int8(arow[x])) - subA
-			if av == 0 {
-				continue // contributes exactly 0 to every accumulator
-			}
-			for cc, bv := range brow {
-				accRow[cc] += av * (int32(int8(bv)) - subB)
-			}
-		}
-		crow := mm.Region(c+uint64(r)*strideC, uint64(cols)*4)
-		for cc, acc := range accRow {
-			binary.LittleEndian.PutUint32(crow[4*cc:], uint32(acc))
-		}
+	g, err := accel.MapGEMM(mm, Name,
+		accel.Panel{Addr: a, Stride: strideA, Rows: rows, Width: depth},
+		accel.Panel{Addr: b, Stride: strideB, Rows: depth, Width: cols})
+	if err != nil {
+		return accel.Launch{}, err
 	}
-	elems := uint64(rows) * uint64(cols)
-	mm.AddTraffic(2*elems*uint64(depth), 4*elems)
+	g.SubA, g.SubB = subA, subB
+	cv, err := accel.Panel{Addr: c, Stride: strideC, Rows: rows, Width: 4 * cols}.Map(mm, Name, "C")
+	if err != nil {
+		return accel.Launch{}, err
+	}
+	// No prologue: accumulators start at zero. The epilogue stores int32.
+	g.Run(nil, func(r0, c0 int, t *accel.Tile) {
+		for r := range t {
+			crow := cv.Row(r0+r, 4*int(cols))[4*c0:]
+			for cc, acc := range t[r] {
+				binary.LittleEndian.PutUint32(crow[4*cc:], uint32(acc))
+			}
+		}
+	})
+	// Modeled traffic of the per-element loop: one A and one B byte per
+	// MAC, four C bytes per output.
+	elems := rows * cols
+	macs := elems * depth
+	mm.AddTraffic(2*macs, 4*elems)
 
-	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
+	ops := 2 * macs
 	cycles := mTiles*nTiles*kTiles + m.cost.PipelineCycles
 	m.Launches++
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil

@@ -1,6 +1,9 @@
 package opengemm_test
 
 import (
+	"bytes"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"configwall/internal/accel"
@@ -89,7 +92,7 @@ func TestLaunchComputesMatmul(t *testing.T) {
 }
 
 // TestLaunchTrafficCounters pins the traffic accounting of the
-// row-buffered fast path to the per-access totals of the
+// panel kernel to the per-access totals of the
 // element-at-a-time model: one A and one B byte per MAC, 4 C bytes per
 // output element.
 func TestLaunchTrafficCounters(t *testing.T) {
@@ -210,5 +213,133 @@ func TestCycleModel(t *testing.T) {
 	// Peak check: ops/cycles can never exceed the peak throughput.
 	if float64(job.Ops)/float64(job.Cycles) > opengemm.PeakOpsPerCycle {
 		t.Error("cycle model exceeds peak throughput")
+	}
+}
+
+// referenceLaunch is the element-at-a-time OpenGeMM datapath the shared
+// panel kernel must reproduce: per output element, one checked A and one
+// checked B byte read per MAC with x ascending, each less its zero point,
+// then one checked int32 C write. It returns the launch the model should
+// report.
+func referenceLaunch(mm *mem.Memory, csr map[uint32]uint32) accel.Launch {
+	at := func(id uint32) uint64 { return uint64(csr[id]) }
+	rows, cols, depth := at(opengemm.CsrM)*opengemm.MeshRow, at(opengemm.CsrN)*opengemm.MeshCol, at(opengemm.CsrK)*opengemm.TileK
+	subA := int32(int8(csr[opengemm.CsrSubtractions]))
+	subB := int32(int8(csr[opengemm.CsrSubtractions] >> 8))
+	for r := uint64(0); r < rows; r++ {
+		for c := uint64(0); c < cols; c++ {
+			var acc int32
+			for x := uint64(0); x < depth; x++ {
+				av := int32(int8(mm.Read8(at(opengemm.CsrPtrA)+r*at(opengemm.CsrStrideA)+x))) - subA
+				bv := int32(int8(mm.Read8(at(opengemm.CsrPtrB)+x*at(opengemm.CsrStrideB)+c))) - subB
+				acc += av * bv
+			}
+			mm.Write32(at(opengemm.CsrPtrC)+r*at(opengemm.CsrStrideC)+4*c, uint32(acc))
+		}
+	}
+	return accel.Launch{
+		Ops:    2 * rows * cols * depth,
+		Cycles: at(opengemm.CsrM)*at(opengemm.CsrN)*at(opengemm.CsrK) + opengemm.DefaultCost().PipelineCycles,
+	}
+}
+
+// TestLaunchMatchesReference runs seeded random launches through the model
+// and through referenceLaunch on identical memories, and requires
+// identical memory contents, traffic counters and launch costs. The
+// configurations cover several tiles in both output dimensions, strides
+// wider than their panels, non-zero zero points, a reduction deeper than
+// one packed chunk, and zero-heavy A.
+func TestLaunchMatchesReference(t *testing.T) {
+	type shape struct {
+		m, n, k    uint32
+		subA, subB int8
+		zeroA      bool
+	}
+	cases := []shape{
+		{m: 3, n: 2, k: 4},
+		{m: 2, n: 3, k: 2, subA: -128, subB: 127},
+		{m: 1, n: 2, k: 260, subA: 5, subB: -7},
+		{m: 2, n: 2, k: 3, zeroA: true},
+	}
+	rng := rand.New(rand.NewPCG(21, 0))
+	for range 12 {
+		cases = append(cases, shape{
+			m: 1 + rng.Uint32N(4), n: 1 + rng.Uint32N(4), k: 1 + rng.Uint32N(12),
+			subA: int8(rng.Uint32()), subB: int8(rng.Uint32()), zeroA: rng.IntN(4) == 0,
+		})
+	}
+	for i, sc := range cases {
+		rows, cols, depth := sc.m*opengemm.MeshRow, sc.n*opengemm.MeshCol, sc.k*opengemm.TileK
+		// Strides are the panel width or up to 40 bytes wider.
+		widen := func(w uint32) uint32 { return w + uint32(rng.IntN(2))*rng.Uint32N(41) }
+		csr := map[uint32]uint32{
+			opengemm.CsrM: sc.m, opengemm.CsrN: sc.n, opengemm.CsrK: sc.k,
+			opengemm.CsrStrideA: widen(depth), opengemm.CsrStrideB: widen(cols), opengemm.CsrStrideC: widen(4 * cols),
+			opengemm.CsrSubtractions: uint32(uint8(sc.subA)) | uint32(uint8(sc.subB))<<8,
+		}
+		next := uint32(0x100)
+		place := func(ptr, stride uint32, rows, width uint32) {
+			csr[ptr] = next
+			next += (rows-1)*csr[stride] + width + rng.Uint32N(64)
+		}
+		place(opengemm.CsrPtrA, opengemm.CsrStrideA, rows, depth)
+		place(opengemm.CsrPtrB, opengemm.CsrStrideB, depth, cols)
+		place(opengemm.CsrPtrC, opengemm.CsrStrideC, rows, 4*cols)
+		img := make([]byte, next)
+		for p := range img {
+			img[p] = byte(rng.Uint32())
+		}
+		if sc.zeroA {
+			for p := csr[opengemm.CsrPtrA]; p < csr[opengemm.CsrPtrB]; p++ {
+				if rng.IntN(8) != 0 {
+					img[p] = 0
+				}
+			}
+		}
+		model, ref := mem.New(int(next)), mem.New(int(next))
+		copy(model.Region(0, uint64(next)), img)
+		copy(ref.Region(0, uint64(next)), img)
+
+		dev := opengemm.New(opengemm.DefaultCost())
+		configure(dev, csr)
+		got, err := dev.Launch(model)
+		if err != nil {
+			t.Fatalf("case %d %+v: %v", i, sc, err)
+		}
+		want := referenceLaunch(ref, csr)
+		if got != want {
+			t.Errorf("case %d %+v: launch %+v, reference %+v", i, sc, got, want)
+		}
+		if model.BytesRead != ref.BytesRead || model.BytesWritten != ref.BytesWritten {
+			t.Errorf("case %d %+v: traffic read/written %d/%d, reference %d/%d",
+				i, sc, model.BytesRead, model.BytesWritten, ref.BytesRead, ref.BytesWritten)
+		}
+		if !bytes.Equal(model.Snapshot(0, uint64(next)), ref.Snapshot(0, uint64(next))) {
+			t.Errorf("case %d %+v: memory differs from the reference", i, sc)
+		}
+	}
+}
+
+// TestLaunchRejectsWrappingPanel: a panel whose last row lies past 2^64
+// or past the end of memory is a configuration error, not a panic.
+func TestLaunchRejectsWrappingPanel(t *testing.T) {
+	mm := mem.New(1 << 16)
+	for name, over := range map[string]map[uint32]uint32{
+		"extent wraps":  {opengemm.CsrM: 1 << 31, opengemm.CsrStrideA: 1<<32 - 1},
+		"leaves memory": {opengemm.CsrPtrC: 1<<16 - 0x80},
+	} {
+		csr := map[uint32]uint32{
+			opengemm.CsrPtrA: 0x1000, opengemm.CsrPtrB: 0x2000, opengemm.CsrPtrC: 0x3000,
+			opengemm.CsrM: 1, opengemm.CsrK: 1, opengemm.CsrN: 1,
+			opengemm.CsrStrideA: 8, opengemm.CsrStrideB: 8, opengemm.CsrStrideC: 32,
+		}
+		for id, v := range over {
+			csr[id] = v
+		}
+		dev := opengemm.New(opengemm.DefaultCost())
+		configure(dev, csr)
+		if _, err := dev.Launch(mm); err == nil || !strings.Contains(err.Error(), "bad configuration") {
+			t.Errorf("%s: err = %v, want a bad-configuration error", name, err)
+		}
 	}
 }

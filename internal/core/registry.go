@@ -8,6 +8,8 @@ package core
 // code (e.g. examples/customaccel) registers its own at startup.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -194,71 +196,78 @@ func matmulWorkload(shape workload.Shape) Workload {
 	}
 }
 
+// ErrInfeasible marks a cell whose workload cannot be built for its target
+// at the requested size, such as dimensions the target's tiling does not
+// divide. It is a property of the request, not a failure of the run.
+var ErrInfeasible = errors.New("infeasible cell")
+
 // matmulInstance builds the M x K x N matmul instance for a target: the IR
 // module, deterministic input matrices, and golden-model verification of C.
 // Any target that provides the MatmulMKN hook participates — the built-ins
-// and externally registered accelerators alike.
+// and externally registered accelerators alike. The inputs and the golden
+// product come from the operand memo, shared by every instance of the
+// same (M, K, N).
 func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance, error) {
 	if t.MatmulMKN == nil {
-		return Instance{}, fmt.Errorf("workload %s: target %q provides no MatmulMKN builder", shapeName, t.Name)
+		return Instance{}, fmt.Errorf("%w: workload %s: target %q provides no MatmulMKN builder", ErrInfeasible, shapeName, t.Name)
 	}
 	m, err := t.MatmulMKN(mDim, kDim, nDim)
 	if err != nil {
-		return Instance{}, err
+		return Instance{}, fmt.Errorf("%w: %w", ErrInfeasible, err)
 	}
 
-	a := make([]int8, mDim*kDim)
-	b := make([]int8, kDim*nDim)
-	workload.Fill(a, 1)
-	workload.Fill(b, 2)
+	ops := operandMemo.get(dims{mDim, kDim, nDim})
+	a, b := ops.inputs()
 	outBytes := t.OutputBytes
 
 	return Instance{
 		Module: m,
 		Buffers: []Buffer{
-			int8InputBuffer(a),
-			int8InputBuffer(b),
+			inputBuffer(a),
+			inputBuffer(b),
 			{
 				Bytes: uint64(mDim * nDim * outBytes),
 				Verify: func(mm *mem.Memory, base uint64) error {
-					golden := workload.MatmulInt8MKN(a, b, mDim, kDim, nDim)
-					return verifyMatmulOutput(mm, base, golden, outBytes)
+					return verifyMatmulOutput(mm, base, ops.goldenC(), outBytes)
 				},
 			},
 		},
 	}, nil
 }
 
-// int8InputBuffer wraps a pre-filled int8 slice as an input buffer.
-func int8InputBuffer(data []int8) Buffer {
+// inputBuffer wraps a memory image as an input buffer, copied in with one
+// Region view.
+func inputBuffer(img []byte) Buffer {
 	return Buffer{
-		Bytes: uint64(len(data)),
+		Bytes: uint64(len(img)),
 		Init: func(mm *mem.Memory, base uint64) {
-			for i, v := range data {
-				mm.Write8(base+uint64(i), uint8(v))
-			}
+			copy(mm.Region(base, uint64(len(img))), img)
 		},
 	}
 }
 
 // verifyMatmulOutput compares the simulated C buffer against the golden
 // int32 product, at the target's output width (int8 saturated or int32).
+// It reads C through one Region view, so the check leaves the traffic
+// counters alone.
 func verifyMatmulOutput(memory *mem.Memory, cBase uint64, golden []int32, outBytes int) error {
-	for i, want := range golden {
-		switch outBytes {
-		case 1:
-			got := int8(memory.Read8(cBase + uint64(i)))
-			if got != workload.SaturateInt8(want) {
+	switch outBytes {
+	case 1:
+		c := memory.Region(cBase, uint64(len(golden)))
+		for i, want := range golden {
+			if got := int8(c[i]); got != workload.SaturateInt8(want) {
 				return fmt.Errorf("C[%d] = %d, want %d (saturated from %d)", i, got, workload.SaturateInt8(want), want)
 			}
-		case 4:
-			got := int32(memory.Read32(cBase + uint64(4*i)))
-			if got != want {
+		}
+	case 4:
+		c := memory.Region(cBase, 4*uint64(len(golden)))
+		for i, want := range golden {
+			if got := int32(binary.LittleEndian.Uint32(c[4*i:])); got != want {
 				return fmt.Errorf("C[%d] = %d, want %d", i, got, want)
 			}
-		default:
-			return fmt.Errorf("unsupported output width %d", outBytes)
 		}
+	default:
+		return fmt.Errorf("unsupported output width %d", outBytes)
 	}
 	return nil
 }

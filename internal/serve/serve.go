@@ -423,6 +423,10 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 			return
 		}
 		http.Error(w, "server is shutting down", http.StatusServiceUnavailable)
+	case errors.Is(err, core.ErrInfeasible):
+		// The request names a cell the target cannot build at that size;
+		// it is well-formed, and retrying it cannot help.
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

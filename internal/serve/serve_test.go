@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -889,6 +890,28 @@ func TestMaxNCap(t *testing.T) {
 	sbody, _ := io.ReadAll(sresp.Body)
 	if sresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(sbody), "above the server cap") {
 		t.Errorf("sweep size over cap: %d %q, want 400 naming the cap", sresp.StatusCode, sbody)
+	}
+}
+
+// TestInfeasibleCell: a well-formed request for a cell the target cannot
+// build at that size (gemmini rectmm at n=16 needs an N of 8, below the
+// 16-wide array) answers 422, which the client treats as permanent.
+func TestInfeasibleCell(t *testing.T) {
+	_, ts, c := newTestServer(t, serve.Options{})
+	resp, err := http.Get(ts.URL + "/v1/run?target=gemmini&workload=rectmm&pipeline=all&n=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "multiples of 16") {
+		t.Errorf("infeasible cell: %d %q, want 422 naming the tiling rule", resp.StatusCode, body)
+	}
+	e := core.Experiment{Target: "gemmini", Workload: core.WorkloadRectMM, Pipeline: core.AllOptimizations, N: 16}
+	_, err = c.RunRaw(context.Background(), e, core.RunOptions{})
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity || serve.Retryable(err) {
+		t.Errorf("client error %v, want a non-retryable 422 StatusError", err)
 	}
 }
 
