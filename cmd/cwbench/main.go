@@ -9,13 +9,12 @@
 //	cwbench -cache-dir .cwcache  # persist results; reruns recompute nothing
 //	cwbench -cache-dir .cwcache -shard 0/4   # precompute 1/4 of the grid
 //	cwbench -cache-stats       # report cache hit/miss/run counters
-//	cwbench -engine fast       # run every experiment on the fast engine
 //	cwbench -cache-dir .cwcache -store-ls    # list the stored entries
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
 //	cwbench -alloc-stats       # per-figure allocs/op and B/op on stderr
 //	cwbench -bench-json BENCH.json            # micro-suite report (JSON)
-//	cwbench -bench-compare BENCH_8.json       # fail on >20% regression
+//	cwbench -bench-compare BENCH_13.json      # fail on >20% regression
 //	cwbench -calibrate model.json             # fit the analytical tier,
 //	                                          # print constants + held-out
 //	                                          # error report, write model
@@ -46,7 +45,6 @@ import (
 	"configwall/internal/accel/gemmini"
 	"configwall/internal/core"
 	"configwall/internal/roofline"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -63,7 +61,7 @@ type artifact struct {
 type bench struct {
 	runner *core.Runner
 	sizes  []int           // overrides the per-figure defaults when non-empty
-	opts   core.RunOptions // shared run options (engine selection)
+	opts   core.RunOptions // shared run options (fidelity tier)
 }
 
 func (b *bench) pick(def []int) []int {
@@ -167,7 +165,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "directory of the persistent experiment-result store (empty = in-memory only)")
 	shardSpec := flag.String("shard", "", "precompute shard i/m of the figure grid into -cache-dir and render nothing (e.g. 0/4)")
 	cacheStats := flag.Bool("cache-stats", false, "print runner cache statistics after the run")
-	engineName := flag.String("engine", "ref", "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
 	storeLS := flag.Bool("store-ls", false, "list the entries of -cache-dir (sorted by cache key) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
@@ -224,16 +221,10 @@ func main() {
 		}()
 	}
 
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		// Mirror the unknown -only behavior: fail fast, listing the valid
-		// names, so a mistyped service config never runs the wrong engine.
-		fatal("%v", err)
-	}
-
 	ropts := core.RunnerOptions{Workers: *workers}
 	var st *store.DiskStore
 	if *cacheDir != "" {
+		var err error
 		if st, err = store.Open(*cacheDir); err != nil {
 			fatal("%v", err)
 		}
@@ -248,7 +239,7 @@ func main() {
 		}
 		return
 	}
-	b := &bench{runner: core.NewRunnerWith(ropts), opts: core.RunOptions{Engine: engine}}
+	b := &bench{runner: core.NewRunnerWith(ropts)}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -412,8 +403,8 @@ func listStore(st *store.DiskStore) error {
 	n := 0
 	err := st.Each(func(e store.Entry) error {
 		n++
-		fmt.Printf("%-32s engine=%-4s trace=%-5t skipverify=%-5t cycles=%-10d verified=%t\n",
-			e.Experiment, e.Options.Engine, e.Options.RecordTrace, e.Options.SkipVerify,
+		fmt.Printf("%-32s trace=%-5t skipverify=%-5t cycles=%-10d verified=%t\n",
+			e.Experiment, e.Options.RecordTrace, e.Options.SkipVerify,
 			e.Result.Cycles, e.Result.Verified)
 		return nil
 	})

@@ -2,15 +2,10 @@
 // seeded random accfg programs (internal/irgen), runs each through the
 // Baseline pipeline and every optimization pipeline on the co-simulator,
 // and checks observational equivalence plus the paper's metamorphic claims
-// (internal/difftest). Every compiled program additionally executes on
-// every registered simulator engine (reference interpreter, predecoded
-// fast engine and block-compiled engine, DESIGN.md §6, §8) and any
-// disagreement in counters, final memory or summarized trace is a
-// divergence — engine equivalence is a standing campaign invariant. The
-// static config-state checker (internal/analysis) runs as a pre-oracle on
-// every pipeline: statically rejected cases are reported without
-// co-simulation, and every co-simulated case's dynamic outcome is
-// cross-checked against the static verdict — a contradiction
+// (internal/difftest). The static config-state checker (internal/analysis)
+// runs as a pre-oracle on every pipeline: statically rejected cases are
+// reported without co-simulation, and every co-simulated case's dynamic
+// outcome is cross-checked against the static verdict — a contradiction
 // (static-disagree) fails the campaign even when no other divergence does.
 // After the per-target campaigns, a standing analytic-bounds phase
 // recalibrates the analytical prediction tier (internal/analytic) against
@@ -46,7 +41,6 @@ import (
 	"configwall/internal/difftest"
 	"configwall/internal/ir"
 	"configwall/internal/irgen"
-	"configwall/internal/sim"
 )
 
 type programResult struct {
@@ -77,8 +71,8 @@ func main() {
 	for _, p := range difftest.OptimizationPipelines() {
 		pipes = append(pipes, p.String())
 	}
-	fmt.Printf("cwfuzz: campaign seed=%d n=%d targets=%s pipelines=%s engine-xcheck=%s\n",
-		*seed, *n, strings.Join(targets, ","), strings.Join(pipes, ","), strings.Join(sim.EngineNames(), "/"))
+	fmt.Printf("cwfuzz: campaign seed=%d n=%d targets=%s pipelines=%s\n",
+		*seed, *n, strings.Join(targets, ","), strings.Join(pipes, ","))
 
 	failed := false
 	for _, tn := range targets {

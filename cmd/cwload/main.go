@@ -36,7 +36,6 @@ import (
 
 	"configwall/internal/core"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 )
 
 func main() {
@@ -47,7 +46,6 @@ func main() {
 	workloads := flag.String("workloads", core.WorkloadMatmul, "comma-separated workload mix")
 	pipelines := flag.String("pipelines", "base,all", "comma-separated pipeline mix")
 	sizes := flag.String("sizes", "16,32", "comma-separated size mix")
-	engineName := flag.String("engine", "ref", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
 	zipfS := flag.Float64("zipf", 1.4, "zipf skew parameter (> 1; larger = hotter hot set)")
 	seed := flag.Int64("seed", 1, "request-mix seed")
 	verify := flag.Bool("verify", true, "assert responses for one cell are byte-identical")
@@ -56,11 +54,6 @@ func main() {
 	retryMaxDelay := flag.Duration("retry-max-delay", 2*time.Second, "cap on each backpressure backoff sleep")
 	out := flag.String("out", "", "also write the report to this file")
 	flag.Parse()
-
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		fatal("%v", err)
-	}
 
 	ctx := context.Background()
 	client := serve.NewClient(*url)
@@ -76,9 +69,11 @@ func main() {
 	pipeNames := splitCSV(*pipelines)
 	pipes := make([]core.Pipeline, len(pipeNames))
 	for i, pn := range pipeNames {
-		if pipes[i], err = core.PipelineByName(pn); err != nil {
+		p, err := core.PipelineByName(pn)
+		if err != nil {
 			fatal("%v", err)
 		}
+		pipes[i] = p
 	}
 	sizeList, err := parseInts(*sizes)
 	if err != nil {
@@ -94,7 +89,6 @@ func main() {
 		*n, *clients, len(exps), *zipfS, *seed, *url)
 	rep, err := serve.LoadGen(ctx, client, serve.LoadGenOptions{
 		Experiments:   exps,
-		Options:       core.RunOptions{Engine: engine},
 		Requests:      *n,
 		Clients:       *clients,
 		ZipfS:         *zipfS,

@@ -9,16 +9,16 @@
 //
 // Endpoints:
 //
-//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&engine=E][&trace=B][&skipverify=B]
+//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&trace=B][&skipverify=B]
 //	     Measure one experiment cell. The JSON body is byte-identical to
 //	     json.Marshal of a direct Runner.Run result. Identical concurrent
 //	     requests coalesce onto one simulation.
 //	POST /v1/run
 //	     Same, with a JSON body: {"target","workload","pipeline","n",
-//	     "engine","record_trace","skip_verify"}.
+//	     "record_trace","skip_verify"}.
 //	POST /v1/sweep
 //	     Expand and run a grid: {"targets":[],"workloads":[],
-//	     "pipelines":[],"sizes":[],"engine","record_trace","skip_verify",
+//	     "pipelines":[],"sizes":[],"record_trace","skip_verify",
 //	     "stream":true|false}. With stream (the default) the response is
 //	     NDJSON: one {"index","experiment","result"|"error"} event per
 //	     cell in completion order, then {"done":true,"cells","failed"}.
@@ -29,7 +29,7 @@
 //	     cells simulated); per-tier cell counts are exported as
 //	     cwserve_sweep_cells_total{tier="analytic"|"simulated"}.
 //	GET  /v1/registry
-//	     Registered targets, workloads, pipelines and engines.
+//	     Registered targets, workloads, pipelines, caps and sweep sizes.
 //	GET  /metrics
 //	     Prometheus text exposition: cache hit/miss/run/evict counters,
 //	     queue depth and slot gauges, coalescing and rejection counters,
@@ -40,7 +40,8 @@
 //	     memory but stopped being durable); 503 once draining.
 //
 // Responses: 400 names the invalid field and lists the valid registry
-// names (requests above -max-n or -max-sweep-cells are also 400); 429
+// names (requests above -max-n or -max-sweep-cells are also 400); 413
+// rejects a POST body over 1 MiB; 429
 // (with Retry-After) is admission backpressure — the queue was full or
 // the queue wait timed out; 503 means the server is draining.
 //
@@ -71,6 +72,11 @@ import (
 	"configwall/internal/serve"
 	"configwall/internal/store"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled peer cannot hold a connection open
+// indefinitely before the handler (and its body cap) ever runs.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -132,7 +138,7 @@ func main() {
 		logf("warmed %d cells from %s", warmed, *cacheDir)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: sv}
+	httpSrv := &http.Server{Addr: *addr, Handler: sv, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	logf("serving on %s (workers=%d)", *addr, runner.Workers())

@@ -4,8 +4,6 @@
 //
 //	cwsim -target opengemm -pipeline all -n 64 -timeline
 //	cwsim -target gemmini -workload rectmm -pipeline base -n 128 -asm
-//	cwsim -target opengemm -n 256 -engine fast       # predecoded fast engine
-//	cwsim -target opengemm -n 256 -engine compiled   # block-compiled engine
 //	cwsim -list
 //
 // Targets and workloads resolve through the experiment registry, so
@@ -17,12 +15,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"configwall/internal/codegen"
 	"configwall/internal/core"
 	"configwall/internal/ir"
-	"configwall/internal/sim"
 	"configwall/internal/trace"
 )
 
@@ -30,7 +26,6 @@ func main() {
 	targetName := flag.String("target", "opengemm", "accelerator platform ("+strings.Join(core.TargetNames(), "|")+")")
 	workloadName := flag.String("workload", core.WorkloadMatmul, "workload ("+strings.Join(core.WorkloadNames(), "|")+")")
 	pipelineName := flag.String("pipeline", "all", "pipeline: base | dedup | overlap | all")
-	engineName := flag.String("engine", "ref", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"); identical results, different speed")
 	n := flag.Int("n", 64, "workload sweep size")
 	timeline := flag.Bool("timeline", false, "print the execution timeline (Figure 7 style)")
 	width := flag.Int("timeline-width", 100, "timeline width in characters")
@@ -66,11 +61,6 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		fatal("%v", err)
-	}
-
 	if *asm || *irDump {
 		inst, err := wl.Build(target, *n)
 		if err != nil {
@@ -93,17 +83,13 @@ func main() {
 		return
 	}
 
-	start := time.Now()
-	res, err := core.Run(target, wl, pipeline, *n, core.RunOptions{RecordTrace: *timeline, Engine: engine})
-	elapsed := time.Since(start)
+	res, err := core.Run(target, wl, pipeline, *n, core.RunOptions{RecordTrace: *timeline})
 	if err != nil {
 		fatal("%v", err)
 	}
 	fmt.Printf("target            %s (%s configuration)\n", res.Target, scheme(target))
 	fmt.Printf("workload          %s\n", res.Workload)
 	fmt.Printf("pipeline          %s\n", res.Pipeline)
-	fmt.Printf("engine            %s (%.2fM host instrs/sec incl. compile)\n",
-		engine, float64(res.HostInstrs)/elapsed.Seconds()/1e6)
 	fmt.Printf("sweep size        %d (ops = %d)\n", res.N, res.AccelOps)
 	fmt.Printf("total cycles      %d\n", res.Cycles)
 	fmt.Printf("performance       %.1f ops/cycle (%.1f%% of %g peak)\n", res.OpsPerCycle(), 100*res.Utilization(), res.PeakOps)

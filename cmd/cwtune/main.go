@@ -34,7 +34,6 @@ import (
 	"configwall/internal/analytic"
 	"configwall/internal/core"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 	"configwall/internal/tune"
 )
@@ -48,7 +47,6 @@ func main() {
 	workloadFlag := flag.String("workload", "", "comma-separated workload filter (empty = all registered)")
 	pipelineFlag := flag.String("pipeline", "", "comma-separated pipeline filter (empty = all)")
 	maxSize := flag.Int("max-size", 0, "drop cells with sweep size above this (0 = the registry's cap)")
-	engine := flag.String("engine", "", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"; empty = ref)")
 	cacheDir := flag.String("cache-dir", "", "persistent store for the in-process daemon (ignored with -url)")
 	noValidate := flag.Bool("no-validate", false, "skip measuring winners at the held-out sizes")
 	flag.Parse()
@@ -56,12 +54,6 @@ func main() {
 	strategies, err := resolveStrategies(*strategyFlag)
 	if err != nil {
 		fatal("%v", err)
-	}
-	var opts core.RunOptions
-	if *engine != "" {
-		if opts.Engine, err = sim.EngineByName(*engine); err != nil {
-			fatal("%v", err)
-		}
 	}
 
 	ctx := context.Background()
@@ -91,7 +83,7 @@ func main() {
 
 	rep, err := tune.Run(ctx, tune.Config{
 		Space:      space,
-		Eval:       &tune.ClientEvaluator{Client: client, Retry: serve.RetryPolicy{Seed: *seed}, Opts: opts},
+		Eval:       &tune.ClientEvaluator{Client: client, Retry: serve.RetryPolicy{Seed: *seed}},
 		Strategies: strategies,
 		Budget:     *budget,
 		Seed:       *seed,

@@ -1,8 +1,8 @@
 package main
 
 // Fail-fast UX tests: unknown -strategy/-target/-workload values must be
-// rejected with the full list of valid names (the cwsim -engine /
-// cwopt -p convention), so a misconfigured campaign dies before it spends
+// rejected with the full list of valid names (the cwopt -p
+// convention), so a misconfigured campaign dies before it spends
 // a single simulation.
 
 import (
@@ -18,7 +18,6 @@ var testInfo = serve.RegistryInfo{
 	Targets:   []string{"gemmini", "opengemm"},
 	Workloads: []string{"matmul", "matvec", "rectmm"},
 	Pipelines: []string{"base", "dedup", "overlap", "all"},
-	Engines:   []string{"ref", "fast", "compiled"},
 	MaxN:      1024,
 	Sizes: map[string]map[string][]int{
 		"matmul": {"gemmini": {16, 32, 48, 64}, "opengemm": {8, 16, 24, 32, 48, 64}},

@@ -52,7 +52,6 @@ import (
 	"configwall/internal/irgen"
 	"configwall/internal/roofline"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 	"configwall/internal/tune"
 )
@@ -84,29 +83,6 @@ type Result = core.Result
 
 // RunOptions tweaks experiment execution.
 type RunOptions = core.RunOptions
-
-// Engine selects the simulator execution engine for a run.
-type Engine = sim.Engine
-
-// Simulator engines. All produce byte-identical results — the
-// differential oracle continuously enforces it — but the fast engine
-// executes a predecoded program form with block-batched accounting, and the
-// compiled engine goes further, translating basic blocks into chains of
-// pre-resolved closures (DESIGN.md §6, §8).
-const (
-	// EngineRef is the reference interpreter.
-	EngineRef = sim.EngineRef
-	// EngineFast is the predecoded fast engine.
-	EngineFast = sim.EngineFast
-	// EngineCompiled is the block-compiled engine.
-	EngineCompiled = sim.EngineCompiled
-)
-
-// EngineByName parses an engine name ("ref", "fast" or "compiled").
-func EngineByName(name string) (Engine, error) { return sim.EngineByName(name) }
-
-// EngineNames lists the registered engine names in definition order.
-func EngineNames() []string { return sim.EngineNames() }
 
 // GemminiTarget returns the Gemmini-style platform: a 16x16 systolic array
 // (512 ops/cycle) with sequential configuration via RoCC custom

@@ -255,12 +255,6 @@ type RunOptions struct {
 	RecordTrace bool
 	// SkipVerify skips the golden-model comparison (for benchmarks).
 	SkipVerify bool
-	// Engine selects the simulator execution engine (default: the
-	// reference interpreter). Both engines produce byte-identical
-	// results — the differential oracle enforces it — but they are
-	// cached and fingerprinted separately so cross-engine comparisons
-	// never serve one engine's run to the other.
-	Engine sim.Engine
 	// Fidelity selects how much simulation a Runner invests in the
 	// answer (default FidelityFull). Deliberately excluded from cache
 	// keys and store fingerprints: predictions are never memoized or
@@ -408,7 +402,6 @@ func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, erro
 	mc := ctx.mc
 	mc.Cost = t.Cost
 	mc.Device = t.NewDevice()
-	mc.Engine = opts.Engine
 	mc.RecordTrace = opts.RecordTrace
 	if opts.RecordTrace {
 		// Record into a pooled buffer. Results are cached and shared, so

@@ -22,8 +22,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"configwall/internal/sim"
 )
 
 // Experiment keys one cell of the evaluation sweep by registry names.
@@ -57,17 +55,15 @@ func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
 }
 
 // cacheKey is the memoization key: the experiment cell plus every RunOptions
-// knob that changes the produced Result or that comparisons must keep
-// separate (kept in sync with FingerprintKey; see its note on Engine).
+// knob that changes the produced Result (kept in sync with FingerprintKey).
 type cacheKey struct {
 	exp         Experiment
 	recordTrace bool
 	skipVerify  bool
-	engine      sim.Engine
 }
 
 func keyOf(e Experiment, opts RunOptions) cacheKey {
-	return cacheKey{exp: e, recordTrace: opts.RecordTrace, skipVerify: opts.SkipVerify, engine: opts.Engine}
+	return cacheKey{exp: e, recordTrace: opts.RecordTrace, skipVerify: opts.SkipVerify}
 }
 
 // cell is one memoized experiment execution. Concurrent duplicate requests

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"configwall/internal/core"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -390,14 +389,8 @@ func TestFingerprintKeyDistinct(t *testing.T) {
 	if a == c {
 		t.Error("distinct options share a fingerprint")
 	}
-	if want := "target=t;workload=w;pipeline=0;n=1;trace=false;skipverify=false;engine=0"; a != want {
+	if want := "target=t;workload=w;pipeline=0;n=1;trace=false;skipverify=false"; a != want {
 		t.Errorf("fingerprint = %q, want %q", a, want)
-	}
-	// Engines are kept separate even though their results are identical —
-	// a cross-engine comparison must never be served a shared cell.
-	e := core.FingerprintKey(core.Experiment{Target: "t", Workload: "w", N: 1}, core.RunOptions{Engine: sim.EngineFast})
-	if a == e {
-		t.Error("distinct engines share a fingerprint")
 	}
 	// Pipeline.String() collapses unnamed values to "base"; the numeric key
 	// must still separate them from Baseline.

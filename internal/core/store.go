@@ -60,11 +60,8 @@ func (s CacheStats) String() string {
 // produced Result must appear here; stores hash this string (together with
 // their serialization schema version) to address entries. The pipeline is
 // keyed numerically: Pipeline.String() collapses unnamed values to "base",
-// which would alias an out-of-range pipeline onto Baseline's entry. The
-// simulator engine is keyed even though both engines produce identical
-// Results (the oracle enforces it): a cross-engine comparison that read
-// one engine's cached cell for the other would vacuously pass.
+// which would alias an out-of-range pipeline onto Baseline's entry.
 func FingerprintKey(e Experiment, opts RunOptions) string {
-	return fmt.Sprintf("target=%s;workload=%s;pipeline=%d;n=%d;trace=%t;skipverify=%t;engine=%d",
-		e.Target, e.Workload, int(e.Pipeline), e.N, opts.RecordTrace, opts.SkipVerify, int(opts.Engine))
+	return fmt.Sprintf("target=%s;workload=%s;pipeline=%d;n=%d;trace=%t;skipverify=%t",
+		e.Target, e.Workload, int(e.Pipeline), e.N, opts.RecordTrace, opts.SkipVerify)
 }

@@ -17,16 +17,7 @@
 //     hardware, whose loop prologue adds one bounded static setup), and
 //   - optimized pipelines never run slower than the baseline (again modulo
 //     a bounded allowance for overlap's prologue and dead final-iteration
-//     staging writes on tiny jobs),
-//
-// plus the simulator's own engine-equivalence invariant (DESIGN.md §6, §8) —
-//
-//   - every compiled program (baseline and each optimized pipeline)
-//     executes identically on every registered simulator engine: the
-//     reference interpreter, the predecoded fast engine and the
-//     block-compiled engine must produce the same Counters, the same
-//     final memory image, the same summarized trace and the same
-//     launch effects.
+//     staging writes on tiny jobs).
 //
 // A failing case is a Divergence; the shrinker (shrink.go) reduces the
 // module while the divergence reproduces.
@@ -48,7 +39,6 @@ import (
 	"configwall/internal/mem"
 	"configwall/internal/riscv"
 	"configwall/internal/sim"
-	"configwall/internal/trace"
 )
 
 // Simulation arena: generated programs are tiny, so the oracle uses a 1 MiB
@@ -86,11 +76,6 @@ const (
 	KindConfigWrites
 	// KindCycles: the optimized pipeline ran slower than allowed.
 	KindCycles
-	// KindEngine: an optimized simulator engine (fast or compiled)
-	// disagreed with the reference engine on the same compiled program
-	// (counters, final memory or summarized trace) — a simulator bug,
-	// not a compiler bug.
-	KindEngine
 	// KindStatic: the static config-state checker proved the optimized
 	// pre-lowering module diverges from the original program's intent; in
 	// pre-oracle mode the case is reported without co-simulation.
@@ -131,8 +116,6 @@ func (k Kind) String() string {
 		return "config-write-regression"
 	case KindCycles:
 		return "cycle-regression"
-	case KindEngine:
-		return "engine-divergence"
 	case KindStatic:
 		return "static-reject"
 	case KindStaticBounds:
@@ -163,8 +146,6 @@ type Execution struct {
 	Launches []accel.Launch
 	// Mem is the final [0, stackBase) memory image.
 	Mem []byte
-	// TraceSummary aggregates the recorded timeline per segment kind.
-	TraceSummary trace.Summary
 	// ProgramInstrs is the compiled program size.
 	ProgramInstrs int
 }
@@ -185,13 +166,6 @@ type Options struct {
 	// overlap pipelines on concurrent-configuration targets; nil selects
 	// DefaultCycleSlack. Non-overlap pipelines always get zero slack.
 	CycleSlack func(baseCycles uint64) uint64
-	// SkipEngineCrossCheck disables the standing simulator-engine
-	// equivalence invariant: by default every compiled program (baseline
-	// and each optimized pipeline) runs on every registered engine —
-	// reference, fast and compiled — and any disagreement in Counters,
-	// final memory or the summarized trace is reported as a KindEngine
-	// divergence.
-	SkipEngineCrossCheck bool
 	// Static selects how the static config-state checker participates in
 	// the oracle; the zero value is StaticPreOracle.
 	Static StaticMode
@@ -358,7 +332,6 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		slack = DefaultCycleSlack
 	}
 
-	crossCheck := !opts.SkipEngineCrossCheck
 	static := opts.Static != StaticOff
 	var baseSum *analysis.Summary
 	if static {
@@ -368,17 +341,12 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 	baseFinal, basePre, kind, err := runPasses(m, pipelineFor(t, core.Baseline), nil)
 	var base Execution
 	if err == nil {
-		base, kind, err = executeCompiled(t, baseFinal, prog, crossCheck)
+		base, kind, err = executeCompiled(t, baseFinal, prog)
 	}
 	if err != nil {
-		if kind != KindEngine {
-			rep.Invalid = true
-			rep.InvalidReason = fmt.Sprintf("baseline %s: %v", kind, err)
-			return rep
-		}
-		// The reference run succeeded and stays authoritative; the fast
-		// engine disagreeing with it is a divergence in its own right.
-		rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: core.Baseline, Detail: err.Error()})
+		rep.Invalid = true
+		rep.InvalidReason = fmt.Sprintf("baseline %s: %v", kind, err)
+		return rep
 	}
 	rep.Base = base
 	if static {
@@ -412,14 +380,10 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 			}
 		}
 
-		exec, kind, err := executeCompiled(t, final, prog, crossCheck)
+		exec, kind, err := executeCompiled(t, final, prog)
 		if err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
-			if kind != KindEngine {
-				continue
-			}
-			// Engine divergences leave the reference execution intact:
-			// still compare it against the baseline below.
+			continue
 		}
 		semantic := compare(t, p, base, exec, slack)
 		rep.Divergences = append(rep.Divergences, semantic...)
@@ -458,7 +422,7 @@ func boundsViolation(p core.Pipeline, preLower *ir.Module, exec Execution) *Dive
 }
 
 // hasSemanticDivergence reports whether the dynamic oracle observed a true
-// behavioral difference (as opposed to a metamorphic or engine finding) —
+// behavioral difference (as opposed to a metamorphic finding) —
 // the outcomes the static verdict speaks to.
 func hasSemanticDivergence(divs []Divergence) bool {
 	for _, d := range divs {
@@ -468,21 +432,6 @@ func hasSemanticDivergence(divs []Divergence) bool {
 		}
 	}
 	return false
-}
-
-// Execute clones m, runs the pass pipeline, compiles and simulates it with
-// the program's inputs, returning the observation. On failure the Kind
-// reports which stage failed. With crossCheck set, the compiled program
-// additionally runs on every non-reference simulator engine (fast and
-// compiled), and any disagreement with the reference observation
-// (Counters, final memory, summarized trace, launch effects) returns a
-// KindEngine error alongside the still valid reference Execution.
-func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager, mutate func(*ir.Module) error, crossCheck bool) (Execution, Kind, error) {
-	clone, _, kind, err := runPasses(m, pm, mutate)
-	if err != nil {
-		return Execution{}, kind, err
-	}
-	return executeCompiled(t, clone, prog, crossCheck)
 }
 
 // runPasses clones m, applies the optional mutation and runs the pipeline.
@@ -519,7 +468,7 @@ func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error) 
 }
 
 // executeCompiled compiles and simulates one already-optimized module.
-func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool) (Execution, Kind, error) {
+func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program) (Execution, Kind, error) {
 	bases := make([]uint64, len(prog.Buffers))
 	next := uint64(bufferBase)
 	for i, buf := range prog.Buffers {
@@ -535,32 +484,16 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 		return Execution{}, KindCompileError, err
 	}
 
-	// Trace recording is only needed for the summarized-trace comparison
-	// between engines; the plain oracle path skips its cost.
-	ref, err := simulate(t, prog, compiled, bases, sim.EngineRef, crossCheck)
+	exec, err := simulate(t, prog, compiled, bases)
 	if err != nil {
 		return Execution{}, KindSimError, err
 	}
-	if crossCheck {
-		for _, eng := range sim.Engines {
-			if eng == sim.EngineRef {
-				continue
-			}
-			alt, err := simulate(t, prog, compiled, bases, eng, true)
-			if err != nil {
-				return ref, KindEngine, fmt.Errorf("%s engine failed where the reference engine succeeded: %w", eng, err)
-			}
-			if err := equalExecutions(ref, alt, eng.String()); err != nil {
-				return ref, KindEngine, err
-			}
-		}
-	}
-	return ref, KindNone, nil
+	return exec, KindNone, nil
 }
 
-// simulate runs one compiled program on a fresh memory/device sandbox
-// under the selected engine and captures the oracle observation.
-func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases []uint64, engine sim.Engine, recordTrace bool) (Execution, error) {
+// simulate runs one compiled program on a fresh memory/device sandbox and
+// captures the oracle observation.
+func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases []uint64) (Execution, error) {
 	memory := mem.New(memorySize)
 	for i, buf := range prog.Buffers {
 		for j, b := range buf.Data {
@@ -571,8 +504,6 @@ func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases 
 
 	rec := &recorder{Device: t.NewDevice()}
 	mc := sim.NewMachine(memory, t.Cost, rec)
-	mc.Engine = engine
-	mc.RecordTrace = recordTrace
 	mc.MaxInstrs = maxInstrs
 	for i := range prog.Buffers {
 		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(bases[i])
@@ -587,32 +518,8 @@ func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases 
 		Counters:      mc.Counters,
 		Launches:      rec.launches,
 		Mem:           memory.Snapshot(0, stackBase),
-		TraceSummary:  trace.Summarize(mc.Trace),
 		ProgramInstrs: len(compiled.Instrs),
 	}, nil
-}
-
-// equalExecutions asserts the engine-equivalence invariant: the named
-// engine must reproduce the reference observation exactly.
-func equalExecutions(ref, got Execution, engine string) error {
-	if ref.Counters != got.Counters {
-		return fmt.Errorf("engines disagree on counters: ref %+v, %s %+v", ref.Counters, engine, got.Counters)
-	}
-	if len(ref.Launches) != len(got.Launches) {
-		return fmt.Errorf("engines disagree on launch count: ref %d, %s %d", len(ref.Launches), engine, len(got.Launches))
-	}
-	for i := range ref.Launches {
-		if ref.Launches[i] != got.Launches[i] {
-			return fmt.Errorf("engines disagree on launch %d: ref %+v, %s %+v", i, ref.Launches[i], engine, got.Launches[i])
-		}
-	}
-	if addr, ok := firstMemDiff(ref.Mem, got.Mem); ok {
-		return fmt.Errorf("engines disagree on memory at %#x: ref %#02x, %s %#02x", addr, ref.Mem[addr], engine, got.Mem[addr])
-	}
-	if ref.TraceSummary != got.TraceSummary {
-		return fmt.Errorf("engines disagree on trace summary: ref %+v, %s %+v", ref.TraceSummary, engine, got.TraceSummary)
-	}
-	return nil
 }
 
 // compare asserts the oracle invariants of one optimized execution against

@@ -101,7 +101,7 @@ func (m *Memory) check(addr, n uint64) {
 }
 
 // boundsPanic is kept out of check so check (and the accessors calling it)
-// stays within the compiler's inlining budget — the simulator engines sit
+// stays within the compiler's inlining budget — the simulator sits
 // in these accessors for every host load and store.
 //
 //go:noinline
@@ -111,7 +111,7 @@ func (m *Memory) boundsPanic(addr, n uint64) {
 
 // Region returns a direct view of [addr, addr+n) after a single
 // overflow-safe bounds check. It is the fast-path accessor for the
-// simulator engines and the accelerator models: one check and one slice
+// accelerator models: one check and one slice
 // header replace n checked per-byte accesses.
 //
 // Region does NOT touch the traffic counters — callers that hoist row

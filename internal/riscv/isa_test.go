@@ -108,3 +108,18 @@ func TestInstrStringForms(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishRejectsUnlabeledControlFlow: a branch with no label used to
+// slip through Finish with no Targets entry, and the simulator would
+// silently jump to the map zero value (instruction 0) — the assembler now
+// rejects the program outright, so the simulator never sees one.
+func TestFinishRejectsUnlabeledControlFlow(t *testing.T) {
+	for _, op := range []riscv.Opcode{riscv.BEQ, riscv.BNE, riscv.BLT, riscv.BGE, riscv.BLTU, riscv.BGEU, riscv.JAL} {
+		a := riscv.NewAssembler()
+		a.Emit(riscv.Instr{Op: op})
+		a.Emit(riscv.Instr{Op: riscv.HALT})
+		if _, err := a.Finish(); err == nil {
+			t.Errorf("%s without a label must not assemble", op)
+		}
+	}
+}

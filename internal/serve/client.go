@@ -87,7 +87,6 @@ func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
 	q.Set("workload", e.Workload)
 	q.Set("pipeline", e.Pipeline.String())
 	q.Set("n", strconv.Itoa(e.N))
-	q.Set("engine", opts.Engine.String())
 	if opts.RecordTrace {
 		q.Set("trace", "true")
 	}
@@ -232,8 +231,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return c.getText(ctx, "/metrics")
 }
 
-// Registry fetches the server's registered targets, workloads, pipelines
-// and engines.
+// Registry fetches the server's registered targets, workloads, pipelines,
+// caps and per-pair sweep sizes.
 func (c *Client) Registry(ctx context.Context) (RegistryInfo, error) {
 	var info RegistryInfo
 	body, err := c.getText(ctx, "/v1/registry")

@@ -19,7 +19,7 @@
 //	POST     /v1/sweep  a (targets × workloads × pipelines × sizes) grid;
 //	                    streams NDJSON events as cells complete, or
 //	                    returns a JSON array with "stream": false
-//	GET      /v1/registry  registered targets/workloads/pipelines/engines
+//	GET      /v1/registry  registered targets/workloads/pipelines
 //	GET      /metrics   Prometheus text: cache counters, queue gauges,
 //	                    latency histograms
 //	GET      /healthz   200 ok, 503 once draining
@@ -40,7 +40,6 @@ import (
 
 	"configwall/internal/core"
 	"configwall/internal/fault"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -260,14 +259,12 @@ func (w *statusWriter) Flush() {
 }
 
 // RunRequest is the JSON body of POST /v1/run; GET passes the same fields
-// as query parameters (target, workload, pipeline, n, engine, trace,
-// skipverify).
+// as query parameters (target, workload, pipeline, n, trace, skipverify).
 type RunRequest struct {
 	Target      string `json:"target"`
 	Workload    string `json:"workload"`
 	Pipeline    string `json:"pipeline"`
 	N           int    `json:"n"`
-	Engine      string `json:"engine,omitempty"`
 	RecordTrace bool   `json:"record_trace,omitempty"`
 	SkipVerify  bool   `json:"skip_verify,omitempty"`
 }
@@ -300,19 +297,38 @@ func (rq RunRequest) resolve(maxN int) (core.Experiment, core.RunOptions, error)
 	if rq.N > maxN {
 		return e, opts, fmt.Errorf("n %d is above the server cap of %d", rq.N, maxN)
 	}
-	eng := sim.EngineRef
-	if rq.Engine != "" {
-		if eng, err = sim.EngineByName(rq.Engine); err != nil {
-			return e, opts, err
-		}
-	}
 	e = core.Experiment{Target: rq.Target, Workload: rq.Workload, Pipeline: p, N: rq.N}
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
+	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify}
 	return e, opts, nil
 }
 
+// maxBodyBytes caps the POST body of /v1/run and /v1/sweep. A legitimate
+// request is a few hundred bytes of names and sizes; a body past the cap
+// is hostile or broken, and reading stops there with a 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a size-capped, strict JSON request body into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %w", err)
+	}
+	return nil
+}
+
+// bodyStatus maps a request-parse error onto its HTTP status: 413 when
+// the body overran maxBodyBytes, 400 for anything else malformed.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // parseRunRequest decodes GET query parameters or a POST JSON body.
-func parseRunRequest(r *http.Request) (RunRequest, error) {
+func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error) {
 	var rq RunRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -320,7 +336,6 @@ func parseRunRequest(r *http.Request) (RunRequest, error) {
 		rq.Target = q.Get("target")
 		rq.Workload = q.Get("workload")
 		rq.Pipeline = q.Get("pipeline")
-		rq.Engine = q.Get("engine")
 		var err error
 		if nv := q.Get("n"); nv != "" {
 			if rq.N, err = strconv.Atoi(nv); err != nil {
@@ -334,10 +349,8 @@ func parseRunRequest(r *http.Request) (RunRequest, error) {
 			return rq, fmt.Errorf("bad skipverify: %v", err)
 		}
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rq); err != nil {
-			return rq, fmt.Errorf("bad JSON body: %v", err)
+		if err := decodeBody(w, r, &rq); err != nil {
+			return rq, err
 		}
 	default:
 		return rq, errMethod
@@ -433,13 +446,13 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	rq, err := parseRunRequest(r)
+	rq, err := parseRunRequest(w, r)
 	if errors.Is(err, errMethod) {
 		http.Error(w, err.Error(), http.StatusMethodNotAllowed)
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), bodyStatus(err))
 		return
 	}
 	e, opts, err := rq.resolve(s.maxN)
@@ -478,7 +491,6 @@ type SweepRequest struct {
 	Workloads   []string `json:"workloads"`
 	Pipelines   []string `json:"pipelines"`
 	Sizes       []int    `json:"sizes"`
-	Engine      string   `json:"engine,omitempty"`
 	RecordTrace bool     `json:"record_trace,omitempty"`
 	SkipVerify  bool     `json:"skip_verify,omitempty"`
 	// Stream selects NDJSON event streaming (the default); set it to
@@ -557,18 +569,11 @@ func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunO
 			return nil, opts, fmt.Errorf("size %d is above the server cap of %d", n, maxN)
 		}
 	}
-	eng := sim.EngineRef
-	if rq.Engine != "" {
-		var err error
-		if eng, err = sim.EngineByName(rq.Engine); err != nil {
-			return nil, opts, err
-		}
-	}
 	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
 	if len(exps) > maxCells {
 		return nil, opts, fmt.Errorf("sweep expands to %d cells, above the server cap of %d", len(exps), maxCells)
 	}
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
+	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify}
 	return exps, opts, nil
 }
 
@@ -578,10 +583,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rq SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rq); err != nil {
-		http.Error(w, fmt.Sprintf("bad JSON body: %v", err), http.StatusBadRequest)
+	if err := decodeBody(w, r, &rq); err != nil {
+		http.Error(w, err.Error(), bodyStatus(err))
 		return
 	}
 	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN)
@@ -869,7 +872,6 @@ type RegistryInfo struct {
 	Targets   []string `json:"targets"`
 	Workloads []string `json:"workloads"`
 	Pipelines []string `json:"pipelines"`
-	Engines   []string `json:"engines"`
 	// MaxN is the server's cap on any requested sweep size n.
 	MaxN int `json:"max_n"`
 	// MaxSweepCells caps the grid one /v1/sweep may expand to.
@@ -897,7 +899,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		Targets:       core.TargetNames(),
 		Workloads:     core.WorkloadNames(),
 		Pipelines:     pipes,
-		Engines:       sim.EngineNames(),
 		MaxN:          s.maxN,
 		MaxSweepCells: s.maxSweepCells,
 		Analytic:      s.runner.Predictor() != nil,

@@ -18,7 +18,6 @@ import (
 
 	"configwall/internal/core"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -115,6 +114,40 @@ func TestRunByteIdentical(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a POST body past the server's cap is refused
+// with 413 on both JSON endpoints before it is decoded, while a normal
+// body on the same endpoints still succeeds.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, serve.Options{})
+	pad := strings.Repeat("x", serve.MaxBodyBytes+1024)
+	run, _ := json.Marshal(serve.RunRequest{Target: testExp.Target, Workload: testExp.Workload, Pipeline: testExp.Pipeline.String(), N: testExp.N})
+	noStream := false
+	sweep, _ := json.Marshal(serve.SweepRequest{Targets: []string{testExp.Target}, Workloads: []string{testExp.Workload},
+		Pipelines: []string{testExp.Pipeline.String()}, Sizes: []int{testExp.N}, Stream: &noStream})
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"run oversized", "/v1/run", `{"target":"` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"sweep oversized", "/v1/sweep", `{"targets":["` + pad + `"]}`, http.StatusRequestEntityTooLarge},
+		{"run normal", "/v1/run", string(run), http.StatusOK},
+		{"sweep normal", "/v1/sweep", string(sweep), http.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d (body %.200s)", resp.StatusCode, tc.want, body)
+			}
+		})
+	}
+}
+
 // TestCachedFastPath: a repeat request for a completed cell takes the Peek
 // fast path — no new simulation, one memory hit, and a response body
 // byte-identical to the first answer (clients cannot tell the paths apart).
@@ -197,7 +230,6 @@ func TestValidation(t *testing.T) {
 		{"missing target", "workload=matmul&pipeline=all&n=8", "registered"},
 		{"unknown workload", "target=opengemm&workload=conv&pipeline=all&n=8", "unknown workload"},
 		{"unknown pipeline", "target=opengemm&workload=matmul&pipeline=turbo&n=8", "unknown pipeline"},
-		{"unknown engine", "target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", "valid engines"},
 		{"bad n", "target=opengemm&workload=matmul&pipeline=all&n=0", "positive sweep size"},
 	}
 	for _, tc := range cases {
@@ -614,9 +646,6 @@ func TestRegistry(t *testing.T) {
 	if !contains(info.Workloads, core.WorkloadMatmul) {
 		t.Errorf("workloads = %v, want %s", info.Workloads, core.WorkloadMatmul)
 	}
-	if !contains(info.Engines, "ref") || !contains(info.Engines, "fast") {
-		t.Errorf("engines = %v, want ref and fast", info.Engines)
-	}
 	if !contains(info.Pipelines, "base") || !contains(info.Pipelines, "all") {
 		t.Errorf("pipelines = %v, want base and all", info.Pipelines)
 	}
@@ -744,7 +773,7 @@ func TestWarmFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	exps := []core.Experiment{testExp, {Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}}
-	opts := core.RunOptions{Engine: sim.EngineFast}
+	opts := core.RunOptions{SkipVerify: true}
 	first := core.NewRunnerWith(core.RunnerOptions{Store: st})
 	if _, err := first.RunAll(context.Background(), exps, opts); err != nil {
 		t.Fatal(err)

@@ -1,13 +1,12 @@
 package sim_test
 
-// Simulator-engine micro-benchmarks: the same program measured on the
-// reference interpreter and the predecoded fast engine, reporting
-// simulated host instructions per second. These isolate interpreter
-// throughput — the ceiling on every figure sweep and fuzz campaign — from
-// compile and accelerator-model cost. CI runs them (with -benchtime=1x)
-// in the bench job next to the figure benchmarks; compare engines with
+// Simulator micro-benchmarks: three program shapes run on the
+// interpreter, reporting simulated host instructions per second. These
+// isolate interpreter throughput from compile and accelerator-model cost.
+// CI runs them (with -benchtime=1x) in the bench job next to the figure
+// benchmarks; compare two revisions with
 //
-//	go test -bench 'Sim_.*Engine' -benchtime 2s ./internal/sim | benchstat ...
+//	go test -bench 'Sim_' -benchtime 2s ./internal/sim | benchstat ...
 
 import (
 	"testing"
@@ -18,8 +17,7 @@ import (
 	"configwall/internal/sim"
 )
 
-// buildALULoop is the block-batching best case: a loop whose body is a
-// long straight line of ALU work (the shape of the paper's address/field
+// buildALULoop is a loop whose body is a long straight line of ALU work (the shape of the paper's address/field
 // calculation code between configuration writes).
 func buildALULoop(iters int64) *riscv.Program {
 	a := riscv.NewAssembler()
@@ -45,8 +43,7 @@ func buildALULoop(iters int64) *riscv.Program {
 	return p
 }
 
-// buildMemLoop mixes loads and stores into the blocks (the memory-fast-path
-// case).
+// buildMemLoop mixes loads and stores into the loop body.
 func buildMemLoop(iters int64) *riscv.Program {
 	a := riscv.NewAssembler()
 	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 28, Imm: iters})
@@ -69,8 +66,8 @@ func buildMemLoop(iters int64) *riscv.Program {
 }
 
 // buildConfigLoop interleaves device configuration writes with short
-// calculation bursts (the configuration-wall shape itself: blocks are
-// small and device ops frequent, the fast engine's worst case).
+// calculation bursts (the configuration-wall shape itself: straight-line
+// runs are short and device ops frequent).
 func buildConfigLoop(iters int64) *riscv.Program {
 	a := riscv.NewAssembler()
 	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 28, Imm: iters})
@@ -104,9 +101,8 @@ func (benchDevice) Launch(*mem.Memory) (accel.Launch, error) {
 	return accel.Launch{}, nil
 }
 
-func benchEngine(b *testing.B, engine sim.Engine, p *riscv.Program, dev accel.Device) {
+func benchRun(b *testing.B, p *riscv.Program, dev accel.Device) {
 	mc := sim.NewMachine(mem.New(1<<16), riscv.RocketCost(), dev)
-	mc.Engine = engine
 	mc.MaxInstrs = 1 << 40
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,41 +118,6 @@ func benchEngine(b *testing.B, engine sim.Engine, p *riscv.Program, dev accel.De
 
 const benchIters = 20_000
 
-func BenchmarkSim_RefEngine_ALU(b *testing.B) {
-	benchEngine(b, sim.EngineRef, buildALULoop(benchIters), nil)
-}
-func BenchmarkSim_FastEngine_ALU(b *testing.B) {
-	benchEngine(b, sim.EngineFast, buildALULoop(benchIters), nil)
-}
-func BenchmarkSim_CompiledEngine_ALU(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildALULoop(benchIters), nil)
-}
-func BenchmarkSim_RefEngine_Mem(b *testing.B) {
-	benchEngine(b, sim.EngineRef, buildMemLoop(benchIters), nil)
-}
-func BenchmarkSim_FastEngine_Mem(b *testing.B) {
-	benchEngine(b, sim.EngineFast, buildMemLoop(benchIters), nil)
-}
-func BenchmarkSim_CompiledEngine_Mem(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildMemLoop(benchIters), nil)
-}
-func BenchmarkSim_RefEngine_Config(b *testing.B) {
-	benchEngine(b, sim.EngineRef, buildConfigLoop(benchIters), benchDevice{})
-}
-func BenchmarkSim_FastEngine_Config(b *testing.B) {
-	benchEngine(b, sim.EngineFast, buildConfigLoop(benchIters), benchDevice{})
-}
-func BenchmarkSim_CompiledEngine_Config(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildConfigLoop(benchIters), benchDevice{})
-}
-
-// BenchmarkSim_Decode isolates predecode cost (paid once per Run on the
-// fast path) to show it is negligible against execution.
-func BenchmarkSim_Decode(b *testing.B) {
-	p := buildALULoop(benchIters)
-	cost := riscv.RocketCost()
-	for i := 0; i < b.N; i++ {
-		_ = riscv.Decode(p, cost)
-	}
-	b.ReportMetric(float64(len(p.Instrs)), "static_instrs")
-}
+func BenchmarkSim_ALU(b *testing.B)    { benchRun(b, buildALULoop(benchIters), nil) }
+func BenchmarkSim_Mem(b *testing.B)    { benchRun(b, buildMemLoop(benchIters), nil) }
+func BenchmarkSim_Config(b *testing.B) { benchRun(b, buildConfigLoop(benchIters), benchDevice{}) }

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"configwall/internal/accel"
 	"configwall/internal/mem"
@@ -101,74 +100,11 @@ type Segment struct {
 	End   uint64
 }
 
-// Engine selects a Machine execution engine. All engines implement the
-// same architectural and timing semantics and are continuously
-// cross-checked by the differential oracle (internal/difftest); they
-// differ only in how much work the hot loop does per executed instruction.
-type Engine uint8
-
-// Execution engines.
-const (
-	// EngineRef is the reference interpreter: one instruction at a time,
-	// cost model consulted per instruction. It is the semantics baseline
-	// the other engines are verified against.
-	EngineRef Engine = iota
-	// EngineFast executes a predecoded program form (riscv.Decode):
-	// pre-resolved branch targets, prefetched cycle costs, and
-	// basic-block-batched counter/trace accounting.
-	EngineFast
-	// EngineCompiled executes a closure-compiled form (Machine.Compile):
-	// each maximal straight-line block is lowered to a chain of per-op
-	// closures with pre-resolved register pointers, immediates and branch
-	// targets, so steady-state execution runs closure-to-closure with no
-	// per-instruction dispatch switch (see compiled.go).
-	EngineCompiled
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineCompiled:
-		return "compiled"
-	}
-	return "ref"
-}
-
-// EngineByName parses an engine name ("ref", "fast" or "compiled").
-func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "ref":
-		return EngineRef, nil
-	case "fast":
-		return EngineFast, nil
-	case "compiled":
-		return EngineCompiled, nil
-	}
-	return EngineRef, fmt.Errorf("sim: unknown engine %q (valid engines: %s)", name, strings.Join(EngineNames(), ", "))
-}
-
-// Engines lists the available engines.
-var Engines = []Engine{EngineRef, EngineFast, EngineCompiled}
-
-// EngineNames lists the parseable engine names in Engines order; commands
-// use it to build flag usage text and fail-fast error listings.
-func EngineNames() []string {
-	names := make([]string, len(Engines))
-	for i, e := range Engines {
-		names[i] = e.String()
-	}
-	return names
-}
-
 // Machine couples one host with one accelerator device over shared memory.
 type Machine struct {
 	Mem    *mem.Memory
 	Cost   riscv.CostModel
 	Device accel.Device
-
-	// Engine selects the execution engine used by Run (default EngineRef).
-	Engine Engine
 
 	// Regs is the architectural register file; Regs[0] stays zero.
 	Regs [riscv.NumRegs]int64
@@ -186,14 +122,6 @@ type Machine struct {
 	now       uint64
 	busyUntil uint64
 	lastJob   accel.Launch
-
-	// compiled memoizes the EngineCompiled lowering of the last program Run
-	// executed, so repeated runs of the same (unmutated) program skip
-	// decode and compile — the decode-once-run-many contract sweeps rely
-	// on. Invalidated when the program pointer, memory or cost model
-	// changes.
-	compiled     *Compiled
-	compiledProg *riscv.Program
 }
 
 // NewMachine builds a machine around the given memory, cost model and
@@ -244,31 +172,12 @@ func (mc *Machine) reset() {
 	mc.lastJob = accel.Launch{}
 }
 
-// Run executes the program from instruction 0 until HALT on the selected
-// Engine. Each call starts from a clean clock, counters and trace, so
-// reusing a Machine is safe; on error, Cycles still reflects the time
-// reached so partial runs are not reported as zero-cycle.
+// Run executes the program from instruction 0 until HALT, one
+// instruction at a time with the cost model consulted per instruction.
+// Each call starts from a clean clock, counters and trace, so reusing a
+// Machine is safe; on error, Cycles still reflects the time reached so
+// partial runs are not reported as zero-cycle.
 func (mc *Machine) Run(p *riscv.Program) error {
-	switch mc.Engine {
-	case EngineFast:
-		return mc.RunDecoded(riscv.Decode(p, mc.Cost))
-	case EngineCompiled:
-		c := mc.compiled
-		if c == nil || mc.compiledProg != p || c.mem != mc.Mem || c.costName != mc.Cost.Name() {
-			var err error
-			c, err = mc.Compile(riscv.Decode(p, mc.Cost))
-			if err != nil {
-				return err
-			}
-			mc.compiled, mc.compiledProg = c, p
-		}
-		return mc.RunCompiled(c)
-	}
-	return mc.runRef(p)
-}
-
-// runRef is the reference interpreter loop.
-func (mc *Machine) runRef(p *riscv.Program) error {
 	mc.reset()
 	limit := mc.MaxInstrs
 	if limit == 0 {
@@ -306,9 +215,7 @@ func (mc *Machine) runRef(p *riscv.Program) error {
 }
 
 // charge accounts one instruction at the *current* time — stalls may have
-// advanced the clock before the instruction issues. It is the closure-free
-// shared accounting primitive of both engines (the fast engine calls it
-// only off the batched path: device ops and limit-straddling block tails).
+// advanced the clock before the instruction issues.
 func (mc *Machine) charge(class riscv.Class, cost uint64, kind SegmentKind) {
 	start := mc.now
 	mc.HostInstrs++
@@ -487,9 +394,8 @@ func (mc *Machine) step(p *riscv.Program, pc int, ins riscv.Instr) (int, error) 
 	return pc + 1, nil
 }
 
-// custom dispatches a RoCC custom instruction to the device. It is shared
-// by both engines: class and cost are the caller's predecoded (or
-// freshly computed) accounting inputs.
+// custom dispatches a RoCC custom instruction to the device; class and
+// cost are the instruction's accounting inputs.
 func (mc *Machine) custom(funct7 uint32, class riscv.Class, cost uint64, rs1, rs2 int64) error {
 	dev := mc.Device
 	if dev == nil {
@@ -518,7 +424,7 @@ func (mc *Machine) custom(funct7 uint32, class riscv.Class, cost uint64, rs1, rs
 	return nil
 }
 
-// csrWrite dispatches a CSR write to the device (shared by both engines).
+// csrWrite dispatches a CSR write to the device.
 func (mc *Machine) csrWrite(addr uint32, class riscv.Class, cost uint64, value int64) error {
 	dev := mc.Device
 	if dev == nil {
@@ -537,7 +443,7 @@ func (mc *Machine) csrWrite(addr uint32, class riscv.Class, cost uint64, value i
 	return nil
 }
 
-// csrRead handles status/perf CSR reads (shared by both engines).
+// csrRead handles status/perf CSR reads.
 func (mc *Machine) csrRead(addr uint32, rd riscv.Reg, class riscv.Class, cost uint64) error {
 	dev := mc.Device
 	if dev == nil {

@@ -394,3 +394,22 @@ func TestCyclesSetOnError(t *testing.T) {
 		}
 	})
 }
+
+// TestRunSteadyStateZeroAllocs: once a Machine has run a program, running
+// it again must not allocate — sweeps and fuzz campaigns rerun machines
+// on every cell.
+func TestRunSteadyStateZeroAllocs(t *testing.T) {
+	p := buildALULoop(64)
+	mc := sim.NewMachine(mem.New(1<<16), riscv.RocketCost(), nil)
+	if err := mc.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if err := mc.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Run allocated %v allocs/op, want 0", avg)
+	}
+}

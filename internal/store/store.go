@@ -30,7 +30,11 @@ import (
 // (experiment, options, result) record, which is what lets a serving
 // daemon warm its runner from the store at boot without knowing which
 // sweeps produced it.
-const SchemaVersion = 2
+//
+// v3 dropped the simulator-engine selector from the serialized run options
+// (and from the fingerprint key): the reference interpreter is the only
+// engine, so cells are no longer duplicated per engine.
+const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the
 // path already encodes it) so loads can reject hash collisions and

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"configwall/internal/core"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -250,7 +249,7 @@ func TestKeysAndEach(t *testing.T) {
 	}{
 		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{}},
 		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 32}, core.RunOptions{SkipVerify: true}},
-		{core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{Engine: sim.EngineFast}},
+		{core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{RecordTrace: true}},
 	}
 	want := map[string]core.Result{}
 	for i, c := range cells {

@@ -31,16 +31,11 @@ type ClientEvaluator struct {
 	Client *serve.Client
 	// Retry is the retry/backoff policy for every request.
 	Retry serve.RetryPolicy
-	// Opts carries engine/trace/verify options; Fidelity is overridden
-	// per call (full for Measure, screen for Screen).
-	Opts core.RunOptions
 }
 
 // Measure runs one cell through /v1/run with retries.
 func (ce *ClientEvaluator) Measure(ctx context.Context, e core.Experiment) (core.Result, error) {
-	opts := ce.Opts
-	opts.Fidelity = core.FidelityFull
-	return ce.Client.RunWithRetry(ctx, e, opts, ce.Retry)
+	return ce.Client.RunWithRetry(ctx, e, core.RunOptions{Fidelity: core.FidelityFull}, ce.Retry)
 }
 
 // Screen predicts every cell analytically. Cells are grouped by
@@ -67,9 +62,7 @@ func (ce *ClientEvaluator) Screen(ctx context.Context, exps []core.Experiment) (
 		pipes, sizes, full := gridShape(exps, idxs)
 		if !full {
 			for _, i := range idxs {
-				opts := ce.Opts
-				opts.Fidelity = core.FidelityScreen
-				res, err := ce.Client.RunWithRetry(ctx, exps[i], opts, ce.Retry)
+				res, err := ce.Client.RunWithRetry(ctx, exps[i], core.RunOptions{Fidelity: core.FidelityScreen}, ce.Retry)
 				if err != nil {
 					return nil, err
 				}
@@ -84,13 +77,11 @@ func (ce *ClientEvaluator) Screen(ctx context.Context, exps []core.Experiment) (
 			byCell[exps[i]] = i
 		}
 		rq := serve.SweepRequest{
-			Targets:    []string{k.target},
-			Workloads:  []string{k.workload},
-			Pipelines:  pipes,
-			Sizes:      sizes,
-			Engine:     ce.Opts.Engine.String(),
-			SkipVerify: ce.Opts.SkipVerify,
-			Fidelity:   "screen",
+			Targets:   []string{k.target},
+			Workloads: []string{k.workload},
+			Pipelines: pipes,
+			Sizes:     sizes,
+			Fidelity:  "screen",
 		}
 		_, err := ce.Client.SweepWithResume(ctx, rq, ce.Retry, func(ev serve.SweepEvent) error {
 			if ev.Error != "" {

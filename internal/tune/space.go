@@ -137,7 +137,7 @@ func holdoutSizes(cells []core.Experiment, seed int64) []int {
 
 // filterNames resolves a name filter against the registry's valid list:
 // empty keeps everything, duplicates collapse, and an unknown name fails
-// fast listing every valid one (the cwsim -engine / cwopt -p convention).
+// fast listing every valid one (the cwopt -p convention).
 func filterNames(kind string, want, valid []string) ([]string, error) {
 	if len(want) == 0 {
 		return valid, nil
